@@ -48,7 +48,7 @@ soak-short:
 	$(GO) run ./cmd/dspsim -chaos -chaos-seed 1 -duration 4s -rate 300
 	$(GO) run ./cmd/dspsim -chaos -chaos-seed 2 -duration 4s -rate 300 -dynamic -control
 	$(GO) run ./cmd/dspsim -chaos -chaos-seed 7 -duration 4s -rate 800 -dynamic -control -elastic -shape burst
-	$(GO) run ./cmd/dspsim -chaos -chaos-seed 5 -duration 4s -rate 800 -dynamic -control -elastic -shape burst -ring-size 64 -wait-strategy hybrid
+	$(GO) run ./cmd/dspsim -chaos -chaos-seed 5 -duration 4s -rate 800 -dynamic -control -elastic -shape burst
 
 # Full soak (~2min): a longer dspsim chaos replay plus the stretched
 # engine and controlled-bypass soak tests. CHAOS_SOAK_SECONDS widens the

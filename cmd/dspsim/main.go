@@ -78,8 +78,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	ackerShards := fs.Int("acker-shards", 0, "acker shard count, rounded up to a power of two (0 = engine default)")
 	batchSize := fs.Int("batch", 0, "data-plane micro-batch size in tuples, clamped to the queue size (0 = engine default)")
 	flushInterval := fs.Duration("flush-interval", 0, "spout partial-batch flush deadline (0 = engine default)")
-	ringSize := fs.Int("ring-size", 0, "SPSC ring capacity in batch slots; >0 enables the ring data plane (0 = channel plane)")
-	waitStrategy := fs.String("wait-strategy", "", "ring-plane consumer wait strategy: hybrid, spin or park (default hybrid)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file on shutdown")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on shutdown")
 	obsAddr := fs.String("obs", "", "serve the observability endpoints (/metrics /healthz /trace.json /trace/chrome /events /debug/pprof) on this address (e.g. :9090)")
@@ -180,7 +178,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Nodes: *nodes, Seed: *seed,
 		QueueSize: 64, MaxSpoutPending: 256, AckTimeout: 10 * time.Second,
 		AckerShards: *ackerShards, BatchSize: *batchSize, FlushInterval: *flushInterval,
-		RingSize: *ringSize, WaitStrategy: *waitStrategy,
 	}
 	if *chaosMode {
 		// Dropped tuples only fail via the ack-timeout sweep, so the final

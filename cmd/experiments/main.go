@@ -50,8 +50,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	ackerShards := fs.Int("acker-shards", 0, "engine acker shard count, rounded up to a power of two (0 = engine default)")
 	engineBatch := fs.Int("engine-batch", 0, "engine micro-batch size in tuples (0 = engine default)")
 	flushInterval := fs.Duration("flush-interval", 0, "engine partial-batch flush deadline (0 = engine default)")
-	ringSize := fs.Int("ring-size", 0, "engine SPSC ring capacity in batch slots; >0 enables the ring data plane (0 = channel plane)")
-	waitStrategy := fs.String("wait-strategy", "", "engine ring-plane wait strategy: hybrid, spin or park (default hybrid)")
 	obsAddr := fs.String("obs", "", "serve /metrics (Go runtime), /healthz and /debug/pprof on this address while the suite runs (e.g. :9090)")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
@@ -68,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	knobs := experiments.EngineKnobs{
 		AckerShards: *ackerShards, BatchSize: *engineBatch, FlushInterval: *flushInterval,
-		RingSize: *ringSize, WaitStrategy: *waitStrategy,
 	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {

@@ -66,15 +66,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	ackerShards := fs.Int("acker-shards", 0, "live engine acker shard count (0 = engine default)")
 	engineBatch := fs.Int("engine-batch", 0, "live engine micro-batch size in tuples (0 = engine default)")
 	flushInterval := fs.Duration("flush-interval", 0, "live engine partial-batch flush deadline (0 = engine default)")
-	ringSize := fs.Int("ring-size", 0, "live engine SPSC ring capacity in batch slots; >0 enables the ring data plane (0 = channel plane)")
-	waitStrategy := fs.String("wait-strategy", "", "live engine ring-plane wait strategy: hybrid, spin or park (default hybrid)")
 	obsAddr := fs.String("obs", "", "serve /metrics, /healthz and /debug/pprof on this address (with -live also the engine metrics; e.g. :9090)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	engineCfg := dsps.ClusterConfig{
 		Nodes: 2, AckerShards: *ackerShards, BatchSize: *engineBatch, FlushInterval: *flushInterval,
-		RingSize: *ringSize, WaitStrategy: *waitStrategy,
 	}
 	var obsReg *obs.Registry
 	if *obsAddr != "" {

@@ -25,14 +25,12 @@ type ackResult struct {
 // the value returns to zero exactly when the whole tree completed).
 //
 // The pending table is sharded by rootID across power-of-two stripes.
-// On the channel plane executors mutate shards directly, so the stripe
-// mutex is the contention point. On the ring plane every shard is owned
-// by a single writer goroutine (see ackOwners) that applies batched ops
-// under one uncontended lock acquisition per batch — the mutex survives
-// only so cold-path readers (sweep, inFlight, metrics) stay trivially
-// safe. Completion results are *returned* to the caller rather than
-// pushed through a callback, so callers can batch deliveries back to the
-// owning spout.
+// Every shard is owned by a single writer goroutine (see ackOwners) that
+// applies batched ops under one uncontended lock acquisition per batch —
+// the mutex survives only so cold-path readers (sweep, inFlight, metrics)
+// stay trivially safe. Completion results are *returned* to the caller
+// rather than pushed through a callback, so the owner can batch
+// deliveries back to the owning spout.
 type acker struct {
 	shards []ackerShard
 	mask   uint64
@@ -61,11 +59,10 @@ type ackEntry struct {
 	val      uint64
 	startNs  int64
 	spoutTID int
-	// hasInit records that the root's register was applied. On the channel
-	// plane registration is synchronous, so it is always true; on the ring
-	// plane a transition can be drained from its producer's ring before the
-	// register is drained from the spout's, in which case the entry is a
-	// placeholder accumulating XOR state until the register lands.
+	// hasInit records that the root's register was applied. A transition
+	// can be drained from its producer's ring before the register is
+	// drained from the spout's, in which case the entry is a placeholder
+	// accumulating XOR state until the register lands.
 	hasInit bool
 	// failed marks a placeholder whose fail arrived before its register.
 	failed bool
@@ -95,13 +92,6 @@ func newAcker(timeout time.Duration, shards int, nowNs func() int64) *acker {
 	return a
 }
 
-// shard is on the per-tuple data plane.
-//
-//dsps:hotpath
-func (a *acker) shard(rootID uint64) *ackerShard {
-	return &a.shards[rootID&a.mask]
-}
-
 // shardIndex returns the owning stripe index of a root id.
 //
 //dsps:hotpath
@@ -126,79 +116,12 @@ func (a *acker) result(e ackEntry, ok bool) ackResult {
 	}
 }
 
-// register starts tracking a new root tuple: rootID keys the tree, edgeID
-// is the XOR of the spout's initial output edges. Exactly one of msgID
-// (boxed anchoring) and msgU64 (typed-lane anchoring) identifies the root
-// back to its spout. Channel-plane path; ring-plane registration goes
-// through applyLocked.
-//
-//dsps:hotpath
-func (a *acker) register(rootID, edgeID uint64, msgID any, msgU64 uint64, spoutTID int) {
-	s := a.shard(rootID)
-	s.mu.Lock()
-	s.pending[rootID] = ackEntry{
-		msgID:    msgID,
-		msgU64:   msgU64,
-		val:      edgeID,
-		startNs:  a.nowNs(),
-		spoutTID: spoutTID,
-		hasInit:  true,
-	}
-	s.mu.Unlock()
-}
-
-// transition records a bolt finishing one input edge and creating the
-// given output edges: the tracked value XORs the consumed edge and every
-// produced edge. A zero result completes the root; the completion is
-// returned for the caller to deliver. Channel-plane path.
-//
-//dsps:hotpath
-func (a *acker) transition(rootID, consumedEdge uint64, producedEdges []uint64) (ackResult, bool) {
-	s := a.shard(rootID)
-	s.mu.Lock()
-	e, ok := s.pending[rootID]
-	if !ok {
-		s.mu.Unlock()
-		return ackResult{}, false
-	}
-	e.val ^= consumedEdge
-	for _, p := range producedEdges {
-		e.val ^= p
-	}
-	if e.val != 0 {
-		s.pending[rootID] = e
-		s.mu.Unlock()
-		return ackResult{}, false
-	}
-	delete(s.pending, rootID)
-	s.mu.Unlock()
-	return a.result(e, true), true
-}
-
-// fail fails a root immediately (a bolt called Fail on a descendant),
-// returning the completion for the caller to deliver. Channel-plane path.
-//
-//dsps:hotpath
-func (a *acker) fail(rootID uint64) (ackResult, bool) {
-	s := a.shard(rootID)
-	s.mu.Lock()
-	e, ok := s.pending[rootID]
-	if !ok {
-		s.mu.Unlock()
-		return ackResult{}, false
-	}
-	delete(s.pending, rootID)
-	s.mu.Unlock()
-	return a.result(e, false), true
-}
-
-// applyLocked applies one ring-plane ack op to shard s, which the caller
-// (the shard's owner goroutine) has locked — owners lock once per drained
-// batch, so the per-op cost is a plain map operation. Unlike the
-// channel-plane entry points it tolerates op reordering across producer
-// rings: an op for an unknown root creates a placeholder that the
-// eventual register resolves. XOR commutes, so the order ops land in is
-// irrelevant to the completion value.
+// applyLocked applies one ack op to shard s, which the caller (the
+// shard's owner goroutine) has locked — owners lock once per drained
+// batch, so the per-op cost is a plain map operation. It tolerates op
+// reordering across producer rings: an op for an unknown root creates a
+// placeholder that the eventual register resolves. XOR commutes, so the
+// order ops land in is irrelevant to the completion value.
 //
 //dsps:hotpath
 func (a *acker) applyLocked(s *ackerShard, op ackOp) (ackResult, bool) {
@@ -263,7 +186,7 @@ func (a *acker) applyLocked(s *ackerShard, op ackOp) (ackResult, bool) {
 // sweep fails every root older than the timeout and returns the expired
 // completions, oldest first. The topology's sweeper goroutine calls it
 // periodically and routes the results back to their spouts. Young
-// placeholders (ring-plane entries whose register has not yet drained) are
+// placeholders (entries whose register has not yet drained) are
 // left alone — their register is already staged and resolves within one
 // owner drain pass. Placeholders older than the timeout are orphans (a
 // straggler op that landed after the sweep already failed its root) and

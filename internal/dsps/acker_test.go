@@ -11,16 +11,55 @@ func testAcker(timeout time.Duration) *acker {
 	return newAcker(timeout, 4, nil)
 }
 
+// applyOp runs one op through the acker the way a shard owner does:
+// applyLocked under the owning shard's lock.
+func applyOp(a *acker, op ackOp) (ackResult, bool) {
+	s := &a.shards[a.shardIndex(op.rootID)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return a.applyLocked(s, op)
+}
+
+// register applies a root's register op, stamped on the acker's clock as
+// the engine does (its coarse clock also drives the acker).
+func register(a *acker, rootID, xor uint64, msgID any, spoutTID int) (ackResult, bool) {
+	return applyOp(a, ackOp{kind: ackOpRegister, rootID: rootID, val: xor, msgID: msgID, spoutTID: spoutTID, startNs: a.nowNs()})
+}
+
+// transition applies a bolt transition: the consumed edge XORed with every
+// produced edge.
+func transition(a *acker, rootID, consumed uint64, produced ...uint64) (ackResult, bool) {
+	v := consumed
+	for _, p := range produced {
+		v ^= p
+	}
+	return applyOp(a, ackOp{kind: ackOpXor, rootID: rootID, val: v, startNs: time.Now().UnixNano()})
+}
+
+// fail applies an explicit fail of a root.
+func fail(a *acker, rootID uint64) (ackResult, bool) {
+	return applyOp(a, ackOp{kind: ackOpFail, rootID: rootID, startNs: time.Now().UnixNano()})
+}
+
+// sweepOrphans runs the timeout sweep as if the timeout had long passed
+// and reports whether it left the table empty without failing any root:
+// what remains after a root's one completion must be orphan placeholders,
+// never a registered root.
+func sweepOrphans(a *acker) bool {
+	a.sweepNow = func() time.Time { return time.Now().Add(a.timeout + time.Hour) }
+	return len(a.sweep()) == 0 && a.inFlight() == 0
+}
+
 func TestAckerLinearChainCompletes(t *testing.T) {
 	a := testAcker(time.Minute)
 	// Spout emits edge e1; bolt A consumes e1 and produces e2; bolt B
 	// consumes e2 and produces nothing.
 	const root, e1, e2 = 100, 11, 22
-	a.register(root, e1, "m1", 0, 0)
-	if _, done := a.transition(root, e1, []uint64{e2}); done {
+	register(a, root, e1, "m1", 0)
+	if _, done := transition(a, root, e1, e2); done {
 		t.Fatal("completed before leaf acked")
 	}
-	r, done := a.transition(root, e2, nil)
+	r, done := transition(a, root, e2)
 	if !done || !r.ok || r.msgID != "m1" {
 		t.Fatalf("result = %+v, done = %v", r, done)
 	}
@@ -30,17 +69,29 @@ func TestAckerLinearChainCompletes(t *testing.T) {
 }
 
 func TestAckerOutOfOrderTransitions(t *testing.T) {
-	// The XOR tree is order-independent: the downstream ack may arrive
-	// before the upstream transition that created its edge.
-	a := testAcker(time.Minute)
+	// The XOR tree is order-independent, register included: ops from
+	// different producer rings reach the shard owner in any order, so the
+	// downstream ack may arrive before the upstream transition that created
+	// its edge, and either may arrive before the spout's register.
 	const root, e1, e2 = 200, 31, 32
-	a.register(root, e1, "m", 0, 0)
-	if _, done := a.transition(root, e2, nil); done { // leaf acks first
-		t.Fatal("completed on leaf alone")
+	ops := []ackOp{
+		{kind: ackOpRegister, rootID: root, val: e1, msgU64: 9, spoutTID: 2},
+		{kind: ackOpXor, rootID: root, val: e1 ^ e2}, // the producer
+		{kind: ackOpXor, rootID: root, val: e2},      // the leaf
 	}
-	r, done := a.transition(root, e1, []uint64{e2}) // then the producer
-	if !done || !r.ok {
-		t.Fatalf("result = %+v, done = %v", r, done)
+	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		a := testAcker(time.Minute)
+		for i, k := range order {
+			r, done := applyOp(a, ops[k])
+			if last := i == len(order)-1; done != last {
+				t.Fatalf("order %v: op %d done = %v", order, i, done)
+			} else if last && (!r.ok || !r.hasU64 || r.msgU64 != 9 || r.spoutTID != 2) {
+				t.Fatalf("order %v: result = %+v", order, r)
+			}
+		}
+		if a.inFlight() != 0 {
+			t.Fatalf("order %v: inFlight = %d after completion", order, a.inFlight())
+		}
 	}
 }
 
@@ -49,15 +100,15 @@ func TestAckerFanOutTree(t *testing.T) {
 	// Spout emits two copies (e1, e2); each bolt copy emits two more.
 	const root = 300
 	edges := []uint64{1, 2, 3, 4, 5, 6}
-	a.register(root, edges[0]^edges[1], "m", 0, 0)
-	if _, done := a.transition(root, edges[0], []uint64{edges[2], edges[3]}); done {
+	register(a, root, edges[0]^edges[1], "m", 0)
+	if _, done := transition(a, root, edges[0], edges[2], edges[3]); done {
 		t.Fatal("completed early")
 	}
-	if _, done := a.transition(root, edges[1], []uint64{edges[4], edges[5]}); done {
+	if _, done := transition(a, root, edges[1], edges[4], edges[5]); done {
 		t.Fatal("completed early")
 	}
 	for i, leaf := range edges[2:] {
-		r, done := a.transition(root, leaf, nil)
+		r, done := transition(a, root, leaf)
 		if last := i == len(edges[2:])-1; done != last {
 			t.Fatalf("leaf %d: done = %v", i, done)
 		} else if last && (!r.ok || r.msgID != "m") {
@@ -68,25 +119,41 @@ func TestAckerFanOutTree(t *testing.T) {
 
 func TestAckerExplicitFail(t *testing.T) {
 	a := testAcker(time.Minute)
-	a.register(1, 5, "m", 0, 3)
-	r, done := a.fail(1)
+	register(a, 1, 5, "m", 3)
+	r, done := fail(a, 1)
 	if !done || r.ok || r.spoutTID != 3 {
 		t.Fatalf("result = %+v, done = %v", r, done)
 	}
-	// Late transitions for a failed root are ignored.
-	if _, done := a.transition(1, 5, nil); done {
+	// Late ops for a failed root never complete it again: they park in an
+	// orphan placeholder that the sweep drops silently.
+	if _, done := transition(a, 1, 5); done {
 		t.Fatal("failed root completed again")
 	}
-	if _, done := a.fail(1); done {
+	if _, done := fail(a, 1); done {
 		t.Fatal("failed root failed twice")
+	}
+	// A fail can also overtake its root's register: the placeholder
+	// remembers it and absorbs later transitions, and the register delivers
+	// the failure exactly once.
+	if _, done := fail(a, 2); done {
+		t.Fatal("fail completed an unregistered root")
+	}
+	if _, done := transition(a, 2, 7); done {
+		t.Fatal("failed placeholder completed before its register")
+	}
+	if r, done := register(a, 2, 7, "n", 4); !done || r.ok || r.msgID != "n" || r.spoutTID != 4 {
+		t.Fatalf("fail-before-register result = %+v, done = %v", r, done)
+	}
+	if !sweepOrphans(a) {
+		t.Fatal("sweep reported an orphan placeholder as a root failure")
 	}
 }
 
 func TestAckerTimeoutSweep(t *testing.T) {
 	a := testAcker(10 * time.Millisecond)
-	a.register(1, 5, "old", 0, 0)
+	register(a, 1, 5, "old", 0)
 	time.Sleep(20 * time.Millisecond)
-	a.register(2, 6, "fresh", 0, 0)
+	register(a, 2, 6, "fresh", 0)
 	expired := a.sweep()
 	if len(expired) != 1 {
 		t.Fatalf("sweep failed %d roots, want 1", len(expired))
@@ -101,7 +168,7 @@ func TestAckerTimeoutSweep(t *testing.T) {
 
 func TestAckerSweepDisabledWithoutTimeout(t *testing.T) {
 	a := testAcker(0)
-	a.register(1, 5, "m", 0, 0)
+	register(a, 1, 5, "m", 0)
 	if expired := a.sweep(); len(expired) != 0 {
 		t.Fatalf("sweep with no timeout failed %d", len(expired))
 	}
@@ -109,11 +176,14 @@ func TestAckerSweepDisabledWithoutTimeout(t *testing.T) {
 
 func TestAckerUnknownRootIgnored(t *testing.T) {
 	a := testAcker(time.Minute)
-	if _, done := a.transition(999, 1, nil); done {
+	if _, done := transition(a, 999, 1); done {
 		t.Fatal("unknown root completed")
 	}
-	if _, done := a.fail(999); done {
+	if _, done := fail(a, 999); done {
 		t.Fatal("unknown root failed")
+	}
+	if !sweepOrphans(a) {
+		t.Fatal("sweep reported an unknown root as a failure")
 	}
 }
 
@@ -124,8 +194,8 @@ func TestAckerLatencyMeasured(t *testing.T) {
 		stepNs += int64(10 * time.Millisecond)
 		return stepNs
 	}
-	a.register(1, 5, "m", 0, 0)        // now = +10ms
-	r, done := a.transition(1, 5, nil) // now = +20ms
+	register(a, 1, 5, "m", 0)      // now = +10ms
+	r, done := transition(a, 1, 5) // now = +20ms
 	if !done || r.latency != 10*time.Millisecond {
 		t.Fatalf("latency = %v, done = %v", r.latency, done)
 	}
@@ -145,7 +215,7 @@ func TestAckerShardsRoundUpToPowerOfTwo(t *testing.T) {
 func TestAckerRootsSpreadAcrossShards(t *testing.T) {
 	a := newAcker(time.Minute, 4, nil)
 	for root := uint64(1); root <= 64; root++ {
-		a.register(root, root*7, root, 0, 0)
+		register(a, root, root*7, root, 0)
 	}
 	if a.inFlight() != 64 {
 		t.Fatalf("inFlight = %d, want 64", a.inFlight())
@@ -160,7 +230,7 @@ func TestAckerRootsSpreadAcrossShards(t *testing.T) {
 		t.Fatalf("sequential roots occupy %d/%d shards", occupied, len(a.shards))
 	}
 	for root := uint64(1); root <= 64; root++ {
-		if _, done := a.transition(root, root*7, nil); !done {
+		if _, done := transition(a, root, root*7); !done {
 			t.Fatalf("root %d did not complete", root)
 		}
 	}

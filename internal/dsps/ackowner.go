@@ -8,9 +8,9 @@ import (
 	"predstream/internal/ring"
 )
 
-// Single-writer acker shard ownership (ring plane): instead of every
-// executor locking a pending-table stripe per anchored tuple, each
-// stripe gets an owner goroutine and executors hand it ackOps through
+// Single-writer acker shard ownership: instead of every executor locking
+// a pending-table stripe per anchored tuple, each stripe gets an owner
+// goroutine and executors hand it ackOps through
 // per-(producer, shard) SPSC rings. Ops are staged in producer-local
 // slices and pushed a slice at a time, so the ring's seq-cst publish cost
 // and the owner wakeup amortize over ackStageMax ops; the owner applies a
@@ -55,7 +55,7 @@ type ackOp struct {
 	startNs  int64
 }
 
-// ackOwners is the ring-plane acker front end: one owner per shard.
+// ackOwners is the acker front end: one owner per shard.
 type ackOwners struct {
 	owners []ackOwner
 	// opsPending counts ops staged (producer-local or in owner rings) or
@@ -239,58 +239,44 @@ func (rt *runningTopology) dropAckStage(tk *task) {
 	}
 }
 
-// ackRegister starts tracking a root on whichever acker plane is active.
+// ackRegister stages the start of a root's tracking: xor is the XOR of
+// the spout's initial output edge ids. Exactly one of msgID (boxed
+// anchoring) and msgU64 (typed-lane anchoring) identifies the root back
+// to its spout.
 //
 //dsps:hotpath
 func (rt *runningTopology) ackRegister(tk *task, rootID, xor uint64, msgID any, msgU64 uint64) {
-	if rt.ackOwners != nil {
-		rt.stageAckOp(tk, ackOp{
-			kind:     ackOpRegister,
-			rootID:   rootID,
-			val:      xor,
-			msgU64:   msgU64,
-			msgID:    msgID,
-			spoutTID: tk.id,
-			startNs:  rt.clock.nowNs(),
-		})
-		return
-	}
-	rt.acker.register(rootID, xor, msgID, msgU64, tk.id)
+	rt.stageAckOp(tk, ackOp{
+		kind:     ackOpRegister,
+		rootID:   rootID,
+		val:      xor,
+		msgU64:   msgU64,
+		msgID:    msgID,
+		spoutTID: tk.id,
+		startNs:  rt.clock.nowNs(),
+	})
 }
 
-// ackTransition folds a bolt transition into the root's XOR value. On
-// the channel plane a completion comes back synchronously and is staged
-// on the collector; on the ring plane the shard owner detects completion
-// and delivers it directly.
+// ackTransition stages a bolt transition: the consumed edge id XORed with
+// every produced edge id. The shard owner detects completion and delivers
+// it to the spout directly.
 //
 //dsps:hotpath
-func (rt *runningTopology) ackTransition(tk *task, collector *boltCollector, rootID, consumedEdge uint64, produced []uint64) {
-	if rt.ackOwners != nil {
-		v := consumedEdge
-		for _, p := range produced {
-			v ^= p
-		}
-		// startNs only ages a placeholder created by op reordering; the
-		// coarse clock is plenty for the sweep's orphan cutoff.
-		rt.stageAckOp(tk, ackOp{kind: ackOpXor, rootID: rootID, val: v, startNs: rt.clock.nowNs()})
-		return
+func (rt *runningTopology) ackTransition(tk *task, rootID, consumedEdge uint64, produced []uint64) {
+	v := consumedEdge
+	for _, p := range produced {
+		v ^= p
 	}
-	if r, ok := rt.acker.transition(rootID, consumedEdge, produced); ok {
-		collector.addAck(r)
-	}
+	// startNs only ages a placeholder created by op reordering; the
+	// coarse clock is plenty for the sweep's orphan cutoff.
+	rt.stageAckOp(tk, ackOp{kind: ackOpXor, rootID: rootID, val: v, startNs: rt.clock.nowNs()})
 }
 
-// ackFail fails a root immediately on whichever acker plane is active.
+// ackFail stages an immediate failure of a root.
 //
 //dsps:hotpath
-func (rt *runningTopology) ackFail(tk *task, collector *boltCollector, rootID uint64) {
-	if rt.ackOwners != nil {
-		rt.stageAckOp(tk, ackOp{kind: ackOpFail, rootID: rootID, startNs: rt.clock.nowNs()})
-		return
-	}
-	if r, ok := rt.acker.fail(rootID); ok {
-		collector.addAck(r)
-	}
+func (rt *runningTopology) ackFail(tk *task, rootID uint64) {
+	rt.stageAckOp(tk, ackOp{kind: ackOpFail, rootID: rootID, startNs: rt.clock.nowNs()})
 }
 
 // runAckOwner is shard s's owner goroutine: it drains every producer
@@ -361,6 +347,12 @@ func (rt *runningTopology) runAckOwner(s int) {
 		case <-o.wait.C():
 		}
 	}
+}
+
+// ackBatch stages completions bound for one spout between deliveries.
+type ackBatch struct {
+	spout   *task
+	results []ackResult
 }
 
 // stageAckResult groups a completion into the per-spout staging batches.

@@ -79,10 +79,10 @@ func TestChaosSoakEngineBatched(t *testing.T) {
 	})
 }
 
-// TestChaosSoakEngineRings re-runs the soak on the SPSC ring data plane
-// (data plane v2: per-producer rings, single-writer acker owners, SoA
-// batches) so the invariant checker audits ring attach/retire under
-// faults, rebalances and pause/resume — not just the channel plane.
+// TestChaosSoakEngineRings re-runs the batched soak under a third seed so
+// the invariant checker audits input-ring attach/retire and the
+// single-writer acker owners under another fault, rebalance and
+// pause/resume timeline.
 func TestChaosSoakEngineRings(t *testing.T) {
 	runChaosSoak(t, dsps.ClusterConfig{
 		Nodes:           2,
@@ -94,8 +94,6 @@ func TestChaosSoakEngineRings(t *testing.T) {
 		AckerShards:     2,
 		BatchSize:       16,
 		FlushInterval:   200 * time.Microsecond,
-		RingSize:        16,
-		WaitStrategy:    "hybrid",
 	})
 }
 

@@ -16,7 +16,8 @@ type ClusterConfig struct {
 	// CoresPerNode sets each machine's capacity for the interference
 	// model; default 4.
 	CoresPerNode int
-	// QueueSize bounds each executor's input queue; default 1024.
+	// QueueSize bounds each executor's input queue in tuples, and sizes
+	// each producer's input ring in batch slots; default 1024.
 	QueueSize int
 	// AckTimeout fails spout roots not completed in time; default 5s.
 	AckTimeout time.Duration
@@ -42,18 +43,6 @@ type ClusterConfig struct {
 	// under Drain's 20ms settle window so quiescence detection stays
 	// sound.
 	FlushInterval time.Duration
-	// RingSize enables the lock-free data plane (data plane v2): when
-	// > 0, every producer→bolt hand-off uses a bounded SPSC ring of this
-	// many batch slots instead of a shared input channel, and acker
-	// shards switch to single-writer owner goroutines. The effective
-	// capacity is clamped to at least QueueSize so a reserved push can
-	// never fail. 0 (the default) keeps the channel plane.
-	RingSize int
-	// WaitStrategy picks how ring-plane consumers wait on empty rings:
-	// "hybrid" (default: brief yield-spin, then park), "spin" (always
-	// yield-spin; lowest latency, burns an idle core), or "park" (sleep
-	// immediately; lowest idle cost). Ignored on the channel plane.
-	WaitStrategy string
 	// TraceSampleRate enables sampled per-tuple path tracing: the fraction
 	// of anchored roots (by deterministic splitmix64 hash of the rootID)
 	// whose spout→bolt span chains are recorded. 0 (the default) disables
@@ -563,8 +552,7 @@ func (rt *runningTopology) taskStats(t *task) TaskStats {
 		BackpressureWaits: t.counters.bpWaits.Load(),
 	}
 	if t.bolt != nil {
-		// queued is reservation-accurate: 0 ≤ queued ≤ QueueSize, on
-		// either data plane.
+		// queued is reservation-accurate: 0 ≤ queued ≤ QueueSize.
 		ts.QueueLen = int(t.queued.Load())
 		ts.RingDepth = t.ringDepth()
 		ts.RingParks = t.counters.ringParks.Load()

@@ -8,8 +8,8 @@ import (
 
 // runSeeded runs a small two-stage topology (shuffle fan-out into a
 // fields-grouped counter) to completion and returns the per-task counter
-// fingerprint.
-func runSeeded(t *testing.T, seed int64) map[string]string {
+// fingerprint. opts adjust the test cluster's config after the seed is set.
+func runSeeded(t *testing.T, seed int64, opts ...func(*ClusterConfig)) map[string]string {
 	t.Helper()
 	spout := &wordSpout{words: []string{"a", "b", "c", "d", "e"}, limit: 500}
 	b := NewTopologyBuilder("det")
@@ -20,7 +20,8 @@ func runSeeded(t *testing.T, seed int64) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := testCluster(func(cfg *ClusterConfig) { cfg.Seed = seed })
+	all := append([]func(*ClusterConfig){func(cfg *ClusterConfig) { cfg.Seed = seed }}, opts...)
+	c := testCluster(all...)
 	if err := c.Submit(topo, SubmitConfig{Workers: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -40,24 +41,59 @@ func runSeeded(t *testing.T, seed int64) map[string]string {
 	return out
 }
 
+// seed42Golden is runSeeded's per-task fingerprint at seed 42. It pins
+// routing across data-plane changes: shuffle order, fields hashing and the
+// edge-id streams must keep landing every tuple on the same task.
+var seed42Golden = map[string]string{
+	"src/0":   "exec=500 emit=500 acked=500 failed=0",
+	"pass/0":  "exec=250 emit=250 acked=0 failed=0",
+	"pass/1":  "exec=250 emit=250 acked=0 failed=0",
+	"count/0": "exec=0 emit=0 acked=0 failed=0",
+	"count/1": "exec=500 emit=0 acked=0 failed=0",
+	"count/2": "exec=0 emit=0 acked=0 failed=0",
+}
+
 // TestSeedDeterminism pins the engine's reproducibility contract: the same
 // topology under the same cluster seed lands every tuple on the same task
 // — round-robin shuffle order, fields hashing, and the splitmix64 edge-id
-// streams all derive from the seed, not from scheduling.
+// streams all derive from the seed, not from scheduling. Two runs must be
+// byte-identical to each other and to the committed golden table.
 func TestSeedDeterminism(t *testing.T) {
 	first := runSeeded(t, 42)
 	second := runSeeded(t, 42)
-	if len(first) != len(second) {
-		t.Fatalf("task sets differ: %d vs %d", len(first), len(second))
+	if len(first) != len(seed42Golden) || len(second) != len(seed42Golden) {
+		t.Fatalf("task sets differ: %d and %d vs golden %d", len(first), len(second), len(seed42Golden))
 	}
-	for k, v := range first {
-		if second[k] != v {
-			t.Errorf("task %s diverged: %q vs %q", k, v, second[k])
+	for k, want := range seed42Golden {
+		if second[k] != first[k] {
+			t.Errorf("task %s diverged across runs: %q vs %q", k, first[k], second[k])
+		}
+		if first[k] != want {
+			t.Errorf("task %s = %q, golden %q", k, first[k], want)
 		}
 	}
-	// Sanity: the run did real work.
-	if first["src/0"] != "exec=500 emit=500 acked=500 failed=0" {
-		t.Fatalf("unexpected spout tally: %q", first["src/0"])
+}
+
+// TestRingPlaneDeterminismMatchesChannelPlane pins the reproducibility
+// contract across data planes: seed42Golden was produced by both the
+// retired channel plane and the ring plane, and the ring plane must keep
+// reproducing it with input rings of only 8 batch slots. Routing derives
+// from the seed, never from how the hand-off paced the batches, and two
+// small-ring runs must be byte-identical to each other.
+func TestRingPlaneDeterminismMatchesChannelPlane(t *testing.T) {
+	small := func(cfg *ClusterConfig) { cfg.QueueSize = 8 }
+	ringsA := runSeeded(t, 42, small)
+	ringsB := runSeeded(t, 42, small)
+	if len(ringsA) != len(seed42Golden) {
+		t.Fatalf("task sets differ: channel-plane golden %d vs rings %d", len(seed42Golden), len(ringsA))
+	}
+	for k, want := range seed42Golden {
+		if ringsA[k] != want {
+			t.Errorf("task %s diverged across planes: channel %q vs rings %q", k, want, ringsA[k])
+		}
+		if ringsB[k] != ringsA[k] {
+			t.Errorf("task %s diverged across small-ring runs: %q vs %q", k, ringsA[k], ringsB[k])
+		}
 	}
 }
 

@@ -9,9 +9,14 @@ import (
 )
 
 // ackerRandomTreeProperty drives the acker with a randomly shaped tuple
-// tree and checks the invariant: a root completes exactly when every edge
-// has been both produced and consumed, regardless of the transition order.
-// Shared by the quick.Check regression test and FuzzAckerTrees.
+// tree and checks the invariant: a root completes exactly once, exactly
+// when every edge has been both produced and consumed, regardless of the
+// order its ops reach the shard owner — the register included, since ops
+// from different producer rings can overtake it. Half the trees also
+// carry a bolt's explicit fail at a random position; the root then fails
+// once both the fail and the register have landed, unless the tree had
+// already completed. Shared by the quick.Check regression test and
+// FuzzAckerTrees.
 func ackerRandomTreeProperty(seed int64, fanRaw, depthRaw uint8) bool {
 	fan := int(fanRaw%3) + 1   // children per node: 1..3
 	depth := int(depthRaw % 4) // tree depth: 0..3
@@ -36,42 +41,58 @@ func ackerRandomTreeProperty(seed int64, fanRaw, depthRaw uint8) bool {
 	}
 	root := build(0)
 	const rootID = 42
-	a.register(rootID, root.id, "msg", 0, 0)
 
-	// Collect (consumed, produced) transitions and apply them in a
-	// random order — XOR acking must be order-independent.
-	type transition struct {
-		consumed uint64
-		produced []uint64
-	}
-	var trans []transition
+	// One op per node (its consumed edge XOR its produced edges), plus the
+	// spout's register and, for half the trees, a fail.
+	ops := []ackOp{{kind: ackOpRegister, rootID: rootID, val: root.id, msgID: "msg", startNs: a.nowNs()}}
 	var walk func(n *node)
 	walk = func(n *node) {
-		var produced []uint64
+		v := n.id
 		for _, c := range n.children {
-			produced = append(produced, c.id)
+			v ^= c.id
 			walk(c)
 		}
-		trans = append(trans, transition{consumed: n.id, produced: produced})
+		ops = append(ops, ackOp{kind: ackOpXor, rootID: rootID, val: v})
 	}
 	walk(root)
-	rng.Shuffle(len(trans), func(i, j int) { trans[i], trans[j] = trans[j], trans[i] })
+	if rng.Intn(2) == 0 {
+		ops = append(ops, ackOp{kind: ackOpFail, rootID: rootID})
+	}
+	rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
 
-	completions := 0
-	var last ackResult
-	for i, tr := range trans {
-		r, done := a.transition(rootID, tr.consumed, tr.produced)
-		if done {
-			if i != len(trans)-1 {
-				// Completed before all transitions were applied: only a
-				// bug (or an astronomically improbable XOR collision).
-				return false
-			}
-			completions++
-			last = r
+	// Expected outcome: the tree completes at its last non-fail op, unless
+	// a fail lands earlier, in which case the root fails as soon as both
+	// the fail and the register are in.
+	regAt, failAt, doneAt := -1, -1, -1
+	for i, op := range ops {
+		switch op.kind {
+		case ackOpRegister:
+			regAt, doneAt = i, i
+		case ackOpFail:
+			failAt = i
+		default:
+			doneAt = i
 		}
 	}
-	return completions == 1 && last.ok && a.inFlight() == 0
+	wantOK, wantAt := true, doneAt
+	if failAt >= 0 && failAt < doneAt {
+		wantOK, wantAt = false, max(regAt, failAt)
+	}
+
+	completions := 0
+	for i, op := range ops {
+		r, done := applyOp(a, op)
+		if !done {
+			continue
+		}
+		completions++
+		if i != wantAt || r.ok != wantOK || r.msgID != "msg" {
+			return false
+		}
+	}
+	// Whatever is left (ops that trailed the completion) must be orphan
+	// placeholders the sweep drops without failing anything.
+	return completions == 1 && sweepOrphans(a)
 }
 
 // TestPropertyAckerRandomTrees is the quick.Check regression form of the

@@ -27,9 +27,8 @@ type edge struct {
 }
 
 // outBuf accumulates tuples bound for one (edge, target) pair until a
-// size- or deadline-triggered flush hands the whole batch to the target's
-// input queue (channel or ring). Owned by the emitting executor
-// goroutine.
+// size- or deadline-triggered flush pushes the whole batch onto the
+// target's input ring. Owned by the emitting executor goroutine.
 type outBuf struct {
 	target *task
 	edge   *edge
@@ -50,18 +49,16 @@ type task struct {
 	spout Spout
 	bolt  Bolt
 
-	inCh  chan envBatch    // bolts only; nil on the ring plane
 	ackCh chan []ackResult // spouts only
 	space chan struct{}    // bolts only: capacity-freed wakeup signal
 	stop  chan struct{}    // closed by ScaleDown to drain this executor
 	done  chan struct{}    // closed when the executor goroutine exits
 	rng   *rand.Rand       // fault-probability draws; executor-goroutine-local
 
-	// Ring-plane input (RingSize > 0; bolts only). inRings is the
-	// copy-on-write list of per-producer SPSC rings this executor drains;
-	// ringMu orders list splices (producers attach, the consumer prunes).
-	// ringWait parks the executor when every ring is empty; producers Wake
-	// it after a push.
+	// Input (bolts only). inRings is the copy-on-write list of
+	// per-producer SPSC rings this executor drains; ringMu orders list
+	// splices (producers attach, the consumer prunes). ringWait parks the
+	// executor when every ring is empty; producers Wake it after a push.
 	ringMu   sync.Mutex
 	inRings  atomic.Pointer[[]*ring.SPSC[envBatch]]
 	ringWait *ring.Waiter
@@ -103,9 +100,9 @@ type task struct {
 	idScratch   []uint64  // spout edge-id staging, reused
 	firstBufNs  int64     // coarse stamp of oldest unflushed tuple, 0 if none
 
-	// Ring-plane producer state, owned by the executor goroutine: the
-	// SPSC rings this task pushes through, one per downstream target and
-	// one per acker shard it has staged ops for.
+	// Producer state, owned by the executor goroutine: the SPSC rings
+	// this task pushes through, one per downstream target and one per
+	// acker shard it has staged ops for.
 	outRings map[*task]*ring.SPSC[envBatch]
 	ackRings []*ring.SPSC[*[]ackOp]
 	// ackStage holds the per-shard op slices being filled before their
@@ -156,14 +153,10 @@ type runningTopology struct {
 	effBatch int    // tuples per batch, min(BatchSize, QueueSize)
 	flushNs  int64  // FlushInterval in nanoseconds
 
-	// Ring-plane configuration (data plane v2). ringMode is RingSize > 0;
-	// ringCap is the per-producer ring capacity in batch slots, clamped to
-	// at least QueueSize so a reserved push can never find the ring full
-	// (outstanding batches ≤ reserved tuples ≤ QueueSize). ackOwners is
-	// non-nil exactly in ring mode.
-	ringMode  bool
-	ringCap   int
-	waitStrat ring.WaitStrategy
+	// ringSpins is the bolt executors' yield-spin budget before parking
+	// (see spinBudget); ackOwners are the acker shards' single-writer
+	// front ends.
+	ringSpins int
 	ackOwners *ackOwners
 
 	ctx          context.Context
@@ -196,18 +189,7 @@ func (c *Cluster) buildRuntime(t *Topology, sc SubmitConfig) (*runningTopology, 
 		rt.effBatch = 1
 	}
 	rt.flushNs = int64(c.cfg.FlushInterval)
-	rt.ringMode = c.cfg.RingSize > 0
-	if rt.ringMode {
-		rt.ringCap = c.cfg.RingSize
-		if rt.ringCap < c.cfg.QueueSize {
-			rt.ringCap = c.cfg.QueueSize
-		}
-	}
-	ws, err := ring.ParseWaitStrategy(c.cfg.WaitStrategy)
-	if err != nil {
-		return nil, fmt.Errorf("dsps: %w", err)
-	}
-	rt.waitStrat = ws
+	rt.ringSpins = spinBudget(runtime.GOMAXPROCS(0))
 	rt.clock.ns.Store(time.Now().UnixNano())
 	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	// Worker and task ids are cluster-global so concurrently running
@@ -327,24 +309,16 @@ func (c *Cluster) buildRuntime(t *Topology, sc SubmitConfig) (*runningTopology, 
 		rt.rebuildOuts(tk, 0)
 	}
 	rt.acker = newAcker(c.cfg.AckTimeout, c.cfg.AckerShards, rt.clock.nowNs)
-	if rt.ringMode {
-		rt.ackOwners = newAckOwners(len(rt.acker.shards))
-	}
+	rt.ackOwners = newAckOwners(len(rt.acker.shards))
 	return rt, nil
 }
 
-// initBoltInput wires a bolt task's input queue for the active data
-// plane: a QueueSize-slot channel on the channel plane, an (initially
-// empty) list of per-producer SPSC rings plus a park/wake waiter on the
-// ring plane. Either way the queue bound is enforced in tuples by
-// reserve(), and sizing at QueueSize slots means a reserved batch (≥1
-// tuple each) always finds a free slot, so the hand-off after a
-// successful reservation never blocks.
+// initBoltInput wires a bolt task's input: an initially empty list of
+// per-producer SPSC rings plus a park/wake waiter. The queue bound is
+// enforced in tuples by reserve(), and every ring holds QueueSize batch
+// slots, so a reserved batch (≥1 tuple each) always finds a free slot and
+// the push after a successful reservation never fails.
 func (rt *runningTopology) initBoltInput(tk *task) {
-	if !rt.ringMode {
-		tk.inCh = make(chan envBatch, rt.cfg.QueueSize)
-		return
-	}
 	empty := make([]*ring.SPSC[envBatch], 0)
 	tk.inRings.Store(&empty)
 	tk.ringWait = ring.NewWaiter()
@@ -439,11 +413,9 @@ func (rt *runningTopology) start() {
 		defer rt.wg.Done()
 		rt.clock.run(rt.ctx)
 	}()
-	if rt.ackOwners != nil {
-		for s := range rt.ackOwners.owners {
-			rt.wg.Add(1)
-			go rt.runAckOwner(s)
-		}
+	for s := range rt.ackOwners.owners {
+		rt.wg.Add(1)
+		go rt.runAckOwner(s)
 	}
 	for _, tk := range rt.tasks {
 		rt.wg.Add(1)
@@ -534,10 +506,10 @@ func (rt *runningTopology) quiescent() bool {
 	if rt.acker.inFlight() > 0 {
 		return false
 	}
-	// Ring plane: ops staged in owner rings are not yet visible in the
-	// shard maps; completions already applied may still be en route to
-	// their spout (the ackCh length check below catches those).
-	if rt.ackOwners != nil && rt.ackOwners.opsPending.Load() != 0 {
+	// Ops staged in owner rings are not yet visible in the shard maps;
+	// completions already applied may still be en route to their spout
+	// (the ackCh length check below catches those).
+	if rt.ackOwners.opsPending.Load() != 0 {
 		return false
 	}
 	rt.tasksMu.RLock()
@@ -631,18 +603,16 @@ func (rt *runningTopology) enqueue(tk *task, bufIdx int, tpl *Tuple, nowNs int64
 	}
 }
 
-// flushOut sends every non-empty out-buffer of tk downstream, and — on
-// the ring plane — pushes the task's staged ack ops to their shard
-// owners. The ack flush must precede the early return: a pure sink
-// stages transitions without ever buffering output, and quiescence
-// depends on every flush point draining the ack stage too (a sink
-// holding back its last partial op slice would wedge Drain).
+// flushOut sends every non-empty out-buffer of tk downstream and pushes
+// the task's staged ack ops to their shard owners. The ack flush must
+// precede the early return: a pure sink stages transitions without ever
+// buffering output, and quiescence depends on every flush point draining
+// the ack stage too (a sink holding back its last partial op slice would
+// wedge Drain).
 //
 //dsps:hotpath
 func (rt *runningTopology) flushOut(tk *task) {
-	if rt.ackOwners != nil {
-		rt.flushAckStage(tk)
-	}
+	rt.flushAckStage(tk)
 	if tk.outPending.Load() == 0 {
 		tk.firstBufNs = 0
 		return
@@ -702,20 +672,20 @@ func (tk *task) release(n int64) {
 // sendBatch enqueues a batch, blocking for backpressure but bailing out on
 // shutdown. Backpressure is tuple-denominated: the producer reserves
 // len(envs) slots against the target's QueueSize before the hand-off, and
-// the channel itself (sized at QueueSize slots) never blocks a reserved
-// send. When the batch rides a *dynamic* edge and the target's queue
-// stays full, the grouping is re-consulted periodically: if the controller
-// has since steered traffic away from a misbehaving target, the waiting
-// batch is re-directed instead of wedging its producer — the paper's
-// "re-direct data tuples to bypass misbehaving workers" applied to
+// the producer's ring to the target (QueueSize batch slots) always has
+// room for a reserved push. When the batch rides a *dynamic* edge and the
+// target's queue stays full, the grouping is re-consulted periodically: if
+// the controller has since steered traffic away from a misbehaving target,
+// the waiting batch is re-directed instead of wedging its producer — the
+// paper's "re-direct data tuples to bypass misbehaving workers" applied to
 // in-flight emissions. Non-dynamic edges never re-route (fields grouping
 // correctness depends on stable key→task assignment).
 //
-// The reserve+hand-off rides the topology splice read lock: it never
-// blocks while held (a reserved send always finds a channel slot), and it
-// orders the send against ScaleDown's retire sequence — once the retirer
-// has set target.dead under the write lock, no further batch can land in
-// the dead queue, so reclaiming it is race-free. A batch parked against a
+// The reserve+push rides the topology splice read lock: it never blocks
+// while held (a reserved push always finds a ring slot), and it orders the
+// push against ScaleDown's retire sequence — once the retirer has set
+// target.dead under the write lock, no further batch can land in the dead
+// task's rings, so reclaiming them is race-free. A batch parked against a
 // since-retired target re-homes to a live sibling through the edge's
 // current fan-out table.
 //
@@ -759,33 +729,27 @@ func (rt *runningTopology) sendBatch(src *task, e *edge, target *task, envs envB
 			continue
 		}
 		if target.reserve(n, bound) {
-			if rt.ringMode {
-				r := src.outRings[target]
-				if r == nil {
-					r = rt.attachInRingLocked(target)
-					if src.outRings == nil {
-						src.outRings = make(map[*task]*ring.SPSC[envBatch]) //dspslint:ignore allocfree one-time lazy init per source task on first ring attach
-					}
-					src.outRings[target] = r
+			r := src.outRings[target]
+			if r == nil {
+				r = rt.attachInRingLocked(target)
+				if src.outRings == nil {
+					src.outRings = make(map[*task]*ring.SPSC[envBatch]) //dspslint:ignore allocfree one-time lazy init per source task on first ring attach
 				}
-				// Reserved tuples ≤ QueueSize and every in-flight batch
-				// holds ≥ 1 of them, so a ring with ≥ QueueSize batch slots
-				// always has room for a reserved push; the failure arm is
-				// defensive (it would indicate a reservation accounting bug)
-				// and backs out rather than losing the batch.
-				if !r.Push(envs) {
-					target.release(n)
-					rt.spliceMu.RUnlock()
-					runtime.Gosched()
-					continue
-				}
-				rt.spliceMu.RUnlock()
-				target.ringWait.Wake()
-			} else {
-				//dspslint:ignore lockedsend reserved send never blocks; the splice read lock orders it against fan-out splices
-				target.inCh <- envs
-				rt.spliceMu.RUnlock()
+				src.outRings[target] = r
 			}
+			// Reserved tuples ≤ QueueSize and every in-flight batch holds
+			// ≥ 1 of them, so a ring with QueueSize batch slots always has
+			// room for a reserved push; the failure arm is defensive (it
+			// would indicate a reservation accounting bug) and backs out
+			// rather than losing the batch.
+			if !r.Push(envs) {
+				target.release(n)
+				rt.spliceMu.RUnlock()
+				runtime.Gosched()
+				continue
+			}
+			rt.spliceMu.RUnlock()
+			target.ringWait.Wake()
 			target.inbound.Add(-1)
 			src.outPending.Add(-n)
 			src.counters.batches.Add(1)
@@ -1046,12 +1010,6 @@ func (rt *runningTopology) runSpout(tk *task) {
 
 // --- Bolt executor ---
 
-// ackBatch stages completions bound for one spout between flushes.
-type ackBatch struct {
-	spout   *task
-	results []ackResult
-}
-
 type boltCollector struct {
 	rt *runningTopology
 	tk *task
@@ -1059,7 +1017,6 @@ type boltCollector struct {
 	current  *Tuple
 	produced []uint64
 	failed   bool
-	acks     []ackBatch
 }
 
 // Emit implements OutputCollector. Called only from the bolt's executor
@@ -1130,49 +1087,6 @@ func (bc *boltCollector) emit(tpl *Tuple) {
 // Fail implements OutputCollector.
 func (bc *boltCollector) Fail() { bc.failed = true }
 
-// addAck stages a completion for its spout, flushing that spout's batch
-// when full.
-//
-//dsps:hotpath
-func (bc *boltCollector) addAck(r ackResult) {
-	var ab *ackBatch
-	for i := range bc.acks {
-		if bc.acks[i].spout.id == r.spoutTID {
-			ab = &bc.acks[i]
-			break
-		}
-	}
-	if ab == nil {
-		sp := bc.rt.taskOf(r.spoutTID)
-		if sp == nil {
-			return
-		}
-		bc.acks = append(bc.acks, ackBatch{spout: sp}) //dspslint:ignore allocfree one entry per distinct upstream spout, not per tuple
-		ab = &bc.acks[len(bc.acks)-1]
-	}
-	if ab.results == nil {
-		ab.results = bc.rt.fl.getAcks(bc.rt.effBatch)
-	}
-	ab.results = append(ab.results, r) //dspslint:ignore allocfree free-listed slice sized to effBatch; flushed before it can grow
-	if len(ab.results) >= bc.rt.effBatch {
-		bc.rt.sendAcks(ab.spout, ab.results)
-		ab.results = nil
-	}
-}
-
-// flushAcks delivers every staged completion batch.
-//
-//dsps:hotpath
-func (bc *boltCollector) flushAcks() {
-	for i := range bc.acks {
-		ab := &bc.acks[i]
-		if len(ab.results) > 0 {
-			bc.rt.sendAcks(ab.spout, ab.results)
-			ab.results = nil
-		}
-	}
-}
-
 // processTuple runs the full per-tuple bolt path: tick bypass, fault
 // draws, the interference cost model, Execute, metrics, and ack-tree
 // bookkeeping. Returns false when the topology shut down mid-stall.
@@ -1216,7 +1130,7 @@ func (rt *runningTopology) processTuple(tk *task, collector *boltCollector, tpl 
 	if faulty && fault.FailProb > 0 && tk.rng.Float64() < fault.FailProb {
 		tk.counters.dropped.Add(1)
 		if tpl.rootID != 0 {
-			rt.ackFail(tk, collector, tpl.rootID)
+			rt.ackFail(tk, tpl.rootID)
 		}
 		return true
 	}
@@ -1271,9 +1185,9 @@ func (rt *runningTopology) processTuple(tk *task, collector *boltCollector, tpl 
 
 	if tpl.rootID != 0 {
 		if collector.failed {
-			rt.ackFail(tk, collector, tpl.rootID)
+			rt.ackFail(tk, tpl.rootID)
 		} else {
-			rt.ackTransition(tk, collector, tpl.rootID, tpl.edgeID, collector.produced)
+			rt.ackTransition(tk, tpl.rootID, tpl.edgeID, collector.produced)
 		}
 	}
 	collector.current = nil
@@ -1289,36 +1203,7 @@ func (rt *runningTopology) runBolt(tk *task) {
 		rt.wg.Add(1)
 		go rt.runTicker(tk)
 	}
-	if rt.ringMode {
-		rt.runBoltRing(tk, collector)
-		return
-	}
-	for {
-		rt.maybeRebuild(tk)
-		wake := rt.spliceWake.Load()
-		select {
-		case <-rt.ctx.Done():
-			return
-		case <-tk.stop:
-			// Drain request from ScaleDown: everything emitted or staged
-			// goes out before the executor settles.
-			rt.flushOut(tk)
-			collector.flushAcks()
-			return
-		case <-*wake:
-			// A splice advanced the route epoch; loop so even an idle bolt
-			// re-acks it promptly (ScaleDown waits on that convergence).
-		case batch := <-tk.inCh:
-			if !rt.processBatch(tk, collector, batch) {
-				return
-			}
-			// Bolts emit only while processing input, so flushing here
-			// (rather than on a deadline) bounds output latency by the
-			// input batch and leaves nothing buffered while idle.
-			rt.flushOut(tk)
-			collector.flushAcks()
-		}
-	}
+	rt.boltLoop(tk, collector)
 }
 
 // processBatch releases the batch's queue reservation, runs every tuple
@@ -1346,9 +1231,9 @@ func (rt *runningTopology) runTicker(tk *task) {
 	defer rt.wg.Done()
 	ticker := time.NewTicker(tk.tickInterval)
 	defer ticker.Stop()
-	// On the ring plane the ticker goroutine is a producer in its own
-	// right, so it owns a private ring to its bolt — it must never share
-	// the executor goroutine's outRings cache.
+	// The ticker goroutine is a producer in its own right, so it owns a
+	// private ring to its bolt — it must never share the executor
+	// goroutine's outRings cache.
 	var tickRing *ring.SPSC[envBatch]
 	for {
 		select {
@@ -1359,7 +1244,7 @@ func (rt *runningTopology) runTicker(tk *task) {
 		case <-ticker.C:
 			// The self-send rides the splice read lock like any producer:
 			// once ScaleDown marks the task dead under the write lock, no
-			// tick can slip into the queue it is about to reclaim.
+			// tick can slip into the rings it is about to reclaim.
 			rt.spliceMu.RLock()
 			if tk.dead.Load() {
 				rt.spliceMu.RUnlock()
@@ -1371,23 +1256,17 @@ func (rt *runningTopology) runTicker(tk *task) {
 			}
 			b := rt.fl.getEnvs(1)
 			b.add(&Tuple{SourceComponent: TickComponent}, rt.clock.nowNs())
-			if rt.ringMode {
-				if tickRing == nil {
-					tickRing = rt.attachInRingLocked(tk)
-				}
-				if !tickRing.Push(b) {
-					// Defensive: back the reservation out (see sendBatch).
-					tk.release(1)
-					rt.spliceMu.RUnlock()
-					continue
-				}
-				rt.spliceMu.RUnlock()
-				tk.ringWait.Wake()
-			} else {
-				//dspslint:ignore lockedsend reserved tick send never blocks; the splice read lock orders it against retirement
-				tk.inCh <- b
-				rt.spliceMu.RUnlock()
+			if tickRing == nil {
+				tickRing = rt.attachInRingLocked(tk)
 			}
+			if !tickRing.Push(b) {
+				// Defensive: back the reservation out (see sendBatch).
+				tk.release(1)
+				rt.spliceMu.RUnlock()
+				continue
+			}
+			rt.spliceMu.RUnlock()
+			tk.ringWait.Wake()
 		}
 	}
 }

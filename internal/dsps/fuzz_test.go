@@ -135,8 +135,9 @@ func FuzzHistogramQuantile(f *testing.F) {
 }
 
 // FuzzAckerTrees is the fuzz form of TestPropertyAckerRandomTrees: XOR
-// acking over a random tuple tree completes the root exactly when every
-// edge has been produced and consumed, under any transition order.
+// acking over a random tuple tree completes the root exactly once, when
+// every edge has been produced and consumed (or fails it once a fail and
+// the register are in), under any op order.
 func FuzzAckerTrees(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(2))
 	f.Add(int64(42), uint8(0), uint8(0))

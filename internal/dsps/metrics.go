@@ -18,7 +18,7 @@ type taskCounters struct {
 	dropped    atomic.Int64 // tuples dropped by fault injection
 	batches    atomic.Int64 // data-plane batches sent downstream
 	bpWaits    atomic.Int64 // batches that blocked at least once on backpressure
-	ringParks  atomic.Int64 // times the ring-plane executor parked on its waiter
+	ringParks  atomic.Int64 // times the bolt executor parked on its waiter
 
 	execHist     latencyHist // per-tuple execute latency distribution
 	completeHist latencyHist // complete latency distribution (spouts)
@@ -61,9 +61,9 @@ type TaskStats struct {
 	// downstream queue before being delivered.
 	BackpressureWaits int64
 	// RingDepth is the instantaneous number of batches buffered across the
-	// task's input rings (ring plane only; 0 on the channel plane).
+	// task's input rings (0 for spouts).
 	RingDepth int
-	// RingParks counts how many times the ring-plane executor exhausted its
+	// RingParks counts how many times the bolt executor exhausted its
 	// spin budget and parked on its waiter.
 	RingParks int64
 	// ExecHist and CompleteHist are the latency distributions in the
@@ -168,7 +168,7 @@ type ComponentStats struct {
 	Batches           int64
 	BackpressureWaits int64
 	// RingDepth sums the live executors' buffered ring batches; RingParks
-	// sums their waiter parks (ring plane only).
+	// sums their waiter parks.
 	RingDepth int
 	RingParks int64
 	// ExecHist and CompleteHist are the merged latency distributions.

@@ -6,15 +6,13 @@ import (
 	"predstream/internal/ring"
 )
 
-// Ring data plane (data plane v2): when ClusterConfig.RingSize > 0 every
-// producer→bolt hand-off is a dedicated bounded SPSC ring instead of the
-// bolt's shared input channel. Producers attach a private ring to the
-// target on first send and keep pushing into it for the target's
-// lifetime; the bolt executor round-robins across its ring list and
-// parks on a waiter when every ring runs dry. Backpressure is unchanged:
-// the tuple-denominated reserve()/release() CAS bound is enforced before
-// any push, and a ring holds at least QueueSize batch slots, so a
-// reserved push never finds it full.
+// Data plane: every producer→bolt hand-off is a dedicated bounded SPSC
+// ring. Producers attach a private ring to the target on first send and
+// keep pushing into it for the target's lifetime; the bolt executor
+// round-robins across its ring list and parks on a waiter when every ring
+// runs dry. Backpressure is the tuple-denominated reserve()/release() CAS
+// bound, enforced before any push, and a ring holds QueueSize batch
+// slots, so a reserved push never finds it full.
 //
 // SPSC ownership discipline (enforced by dspslint's ringmisuse
 // analyzer): the push side of a data ring is owned by the producer's
@@ -24,11 +22,17 @@ import (
 // owners have provably exited (ScaleDown's awaitProducers/awaitDone
 // barriers).
 
-// ringSpinBudget is how many yields the hybrid wait strategy burns
-// before parking. Each failed probe calls runtime.Gosched — a raw spin
-// would starve the producers on a single-P runtime and stall everyone
-// for whole preemption intervals.
-const ringSpinBudget = 64
+// spinBudget is how many yields an idle bolt executor burns before
+// parking, given the runtime's processor count. Each failed probe calls
+// runtime.Gosched — a raw spin would starve the producers on a single-P
+// runtime. With one P even yielding is waste: every producer the executor
+// could be waiting on needs that same P to run, so it parks at once.
+func spinBudget(procs int) int {
+	if procs <= 1 {
+		return 0
+	}
+	return 64
+}
 
 // attachInRingLocked creates a producer ring and splices it into
 // target's consumer list. The caller holds the topology splice read lock
@@ -38,7 +42,7 @@ const ringSpinBudget = 64
 //
 //dsps:coldpath
 func (rt *runningTopology) attachInRingLocked(target *task) *ring.SPSC[envBatch] {
-	r, _ := ring.New[envBatch](rt.ringCap)
+	r, _ := ring.New[envBatch](rt.cfg.QueueSize)
 	target.ringMu.Lock()
 	old := *target.inRings.Load()
 	list := make([]*ring.SPSC[envBatch], len(old)+1)
@@ -115,8 +119,8 @@ func (rt *runningTopology) pruneInRings(tk *task) {
 	tk.ringMu.Unlock()
 }
 
-// ringDepth sums the buffered batches across tk's input rings — the
-// ring-plane analogue of len(inCh), exported as predstream_ring_depth.
+// ringDepth sums the buffered batches across tk's input rings, exported
+// as predstream_ring_depth.
 func (tk *task) ringDepth() int {
 	p := tk.inRings.Load()
 	if p == nil {
@@ -129,11 +133,10 @@ func (tk *task) ringDepth() int {
 	return total
 }
 
-// runBoltRing is the ring-plane bolt executor loop: drain every producer
-// ring, flush, and when idle wait according to the configured strategy —
-// spin (always yield-spin), park (sleep on the waiter immediately), or
-// hybrid (a short yield-spin burst, then park).
-func (rt *runningTopology) runBoltRing(tk *task, collector *boltCollector) {
+// boltLoop is the bolt executor loop: drain every producer ring, flush,
+// and when idle yield-spin for up to rt.ringSpins probes, then park on
+// the waiter.
+func (rt *runningTopology) boltLoop(tk *task, collector *boltCollector) {
 	spins := 0
 	for {
 		rt.maybeRebuild(tk)
@@ -145,7 +148,6 @@ func (rt *runningTopology) runBoltRing(tk *task, collector *boltCollector) {
 			// goes out before the executor settles; unprocessed input stays
 			// in the rings for retireTask to reclaim.
 			rt.flushOut(tk)
-			collector.flushAcks()
 			return
 		default:
 		}
@@ -158,12 +160,10 @@ func (rt *runningTopology) runBoltRing(tk *task, collector *boltCollector) {
 			// (rather than on a deadline) bounds output latency by the
 			// input batch and leaves nothing buffered while idle.
 			rt.flushOut(tk)
-			collector.flushAcks()
 			spins = 0
 			continue
 		}
-		if rt.waitStrat == ring.WaitSpin ||
-			(rt.waitStrat == ring.WaitHybrid && spins < ringSpinBudget) {
+		if spins < rt.ringSpins {
 			spins++
 			runtime.Gosched()
 			continue
@@ -186,7 +186,6 @@ func (rt *runningTopology) runBoltRing(tk *task, collector *boltCollector) {
 		case <-tk.stop:
 			tk.ringWait.Cancel()
 			rt.flushOut(tk)
-			collector.flushAcks()
 			return
 		case <-*wake:
 			// A splice advanced the route epoch; loop so even an idle bolt

@@ -1,7 +1,7 @@
 package dsps
 
 import (
-	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,76 +35,8 @@ func (s *laneSpout) NextTuple() bool {
 func (s *laneSpout) AckU64(uint64)  { s.ackedU64.Add(1) }
 func (s *laneSpout) FailU64(uint64) { s.failedU64.Add(1) }
 
-// ringCfg flips a test cluster onto the SPSC ring data plane.
-func ringCfg(size int, strategy string) func(*ClusterConfig) {
-	return func(cfg *ClusterConfig) {
-		cfg.RingSize = size
-		cfg.WaitStrategy = strategy
-	}
-}
-
-// runSeededPlane is runSeeded with arbitrary extra cluster knobs, so the
-// determinism fingerprint can be compared across data planes.
-func runSeededPlane(t *testing.T, seed int64, opts ...func(*ClusterConfig)) map[string]string {
-	t.Helper()
-	spout := &wordSpout{words: []string{"a", "b", "c", "d", "e"}, limit: 500}
-	b := NewTopologyBuilder("det")
-	b.SetSpout("src", func() Spout { return spout }, 1, "word")
-	b.SetBolt("pass", func() Bolt { return &relayBolt{} }, 2, "word").ShuffleGrouping("src")
-	b.SetBolt("count", func() Bolt { return &wordCounter{} }, 3).FieldsGrouping("pass", "word")
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := append([]func(*ClusterConfig){func(cfg *ClusterConfig) { cfg.Seed = seed }}, opts...)
-	c := testCluster(all...)
-	if err := c.Submit(topo, SubmitConfig{Workers: 3}); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	if !c.Drain(10 * time.Second) {
-		t.Fatal("did not drain")
-	}
-	snap := c.Snapshot()
-	out := map[string]string{}
-	for _, comp := range []string{"src", "pass", "count"} {
-		for _, ts := range snap.ComponentTasks(comp) {
-			key := fmt.Sprintf("%s/%d", comp, ts.TaskIndex)
-			out[key] = fmt.Sprintf("exec=%d emit=%d acked=%d failed=%d",
-				ts.Executed, ts.Emitted, ts.Acked, ts.Failed)
-		}
-	}
-	return out
-}
-
-// TestRingPlaneDeterminismMatchesChannelPlane pins the reproducibility
-// contract across data planes: with the same seed, the ring plane must
-// land every tuple on the same task as the channel plane (routing derives
-// from the seed, never from which plane carried the batch), and two
-// rings-on runs must be byte-identical to each other.
-func TestRingPlaneDeterminismMatchesChannelPlane(t *testing.T) {
-	channel := runSeededPlane(t, 42)
-	ringsA := runSeededPlane(t, 42, ringCfg(8, "hybrid"))
-	ringsB := runSeededPlane(t, 42, ringCfg(8, "hybrid"))
-	if len(channel) != len(ringsA) {
-		t.Fatalf("task sets differ: channel %d vs rings %d", len(channel), len(ringsA))
-	}
-	for k, v := range channel {
-		if ringsA[k] != v {
-			t.Errorf("task %s diverged across planes: channel %q vs rings %q", k, v, ringsA[k])
-		}
-		if ringsB[k] != ringsA[k] {
-			t.Errorf("task %s diverged across rings-on runs: %q vs %q", k, ringsA[k], ringsB[k])
-		}
-	}
-	if channel["src/0"] != "exec=500 emit=500 acked=500 failed=0" {
-		t.Fatalf("unexpected spout tally: %q", channel["src/0"])
-	}
-}
-
-// TestRingPlaneMultiStageAcking runs the three-stage anchored chain on the
-// ring plane and checks every root completes through the single-writer
-// acker owners.
+// TestRingPlaneMultiStageAcking runs the three-stage anchored chain and
+// checks every root completes through the single-writer acker owners.
 func TestRingPlaneMultiStageAcking(t *testing.T) {
 	const n = 400
 	spout := &countingSpout{limit: n}
@@ -114,7 +46,7 @@ func TestRingPlaneMultiStageAcking(t *testing.T) {
 	b.SetBolt("relay2", func() Bolt { return &relayBolt{} }, 2, "n").ShuffleGrouping("relay1")
 	b.SetBolt("sink", func() Bolt { return &sinkBolt{} }, 1).ShuffleGrouping("relay2")
 	topo, _ := b.Build()
-	c := testCluster(ringCfg(16, "hybrid"))
+	c := testCluster()
 	if err := c.Submit(topo, SubmitConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -141,23 +73,31 @@ func TestRingPlaneMultiStageAcking(t *testing.T) {
 }
 
 // TestRingPlaneWaitStrategies runs the anchored chain to completion under
-// every wait strategy; spin and park stress opposite ends of the
-// idle-handling state machine.
+// both idle behaviours of the bolt executor, which the engine picks from
+// GOMAXPROCS: hybrid (a yield-spin burst, then park) with more than one P,
+// and park-at-once with a single P.
 func TestRingPlaneWaitStrategies(t *testing.T) {
-	for _, ws := range []string{"hybrid", "spin", "park"} {
-		t.Run(ws, func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		procs int
+	}{{"hybrid", 2}, {"park", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
 			const n = 200
 			spout := &countingSpout{limit: n}
-			b := NewTopologyBuilder("chain-" + ws)
+			b := NewTopologyBuilder("chain-" + tc.name)
 			b.SetSpout("src", func() Spout { return spout }, 1, "n")
 			b.SetBolt("relay", func() Bolt { return &relayBolt{} }, 2, "n").ShuffleGrouping("src")
 			b.SetBolt("sink", func() Bolt { return &sinkBolt{} }, 1).ShuffleGrouping("relay")
 			topo, _ := b.Build()
-			c := testCluster(ringCfg(8, ws))
+			c := testCluster()
 			if err := c.Submit(topo, SubmitConfig{}); err != nil {
 				t.Fatal(err)
 			}
 			defer c.Shutdown()
+			if got, want := c.findTopology(topo.Name).ringSpins, spinBudget(tc.procs); got != want {
+				t.Fatalf("spin budget = %d, want %d", got, want)
+			}
 			if !c.Drain(10 * time.Second) {
 				t.Fatal("did not drain")
 			}
@@ -166,23 +106,13 @@ func TestRingPlaneWaitStrategies(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestRingPlaneInvalidWaitStrategyRejected pins the config error path.
-func TestRingPlaneInvalidWaitStrategyRejected(t *testing.T) {
-	spout := &countingSpout{limit: 1}
-	b := NewTopologyBuilder("bad-ws")
-	b.SetSpout("src", func() Spout { return spout }, 1, "n")
-	b.SetBolt("sink", func() Bolt { return &sinkBolt{} }, 1).ShuffleGrouping("src")
-	topo, _ := b.Build()
-	c := testCluster(ringCfg(8, "bogus"))
-	defer c.Shutdown()
-	if err := c.Submit(topo, SubmitConfig{}); err == nil {
-		t.Fatal("submit accepted an invalid wait strategy")
+	if spinBudget(1) != 0 || spinBudget(2) <= 0 {
+		t.Fatalf("spinBudget(1) = %d, spinBudget(2) = %d: want park-at-once on one P, a spin burst otherwise",
+			spinBudget(1), spinBudget(2))
 	}
 }
 
-// TestRingPlaneSmallRingBackpressure clamps the queue (and therefore the
+// TestRingPlaneSmallRingBackpressure sizes the queue (and therefore the
 // rings) very small against a fast spout: the tuple-denominated
 // reservation bound must keep every push infallible and still complete
 // every root.
@@ -197,8 +127,6 @@ func TestRingPlaneSmallRingBackpressure(t *testing.T) {
 	c := testCluster(func(cfg *ClusterConfig) {
 		cfg.QueueSize = 8
 		cfg.MaxSpoutPending = 32
-		cfg.RingSize = 1 // clamped up to QueueSize batch slots
-		cfg.WaitStrategy = "hybrid"
 	})
 	if err := c.Submit(topo, SubmitConfig{}); err != nil {
 		t.Fatal(err)
@@ -216,7 +144,7 @@ func TestRingPlaneSmallRingBackpressure(t *testing.T) {
 }
 
 // TestRingPlaneScaleChurnConserves repeats the elastic churn cycle on the
-// ring plane: live attach of new consumer rings on scale-up, retirement
+// input rings: live attach of new consumer rings on scale-up, retirement
 // drain of orphaned rings on scale-down, with spout conservation audited
 // at the end.
 func TestRingPlaneScaleChurnConserves(t *testing.T) {
@@ -230,7 +158,6 @@ func TestRingPlaneScaleChurnConserves(t *testing.T) {
 	c := testCluster(func(cfg *ClusterConfig) {
 		cfg.QueueSize = 64
 		cfg.MaxSpoutPending = 256
-		cfg.RingSize = 16
 	})
 	if err := c.Submit(topo, SubmitConfig{}); err != nil {
 		t.Fatal(err)
@@ -256,7 +183,7 @@ func TestRingPlaneScaleChurnConserves(t *testing.T) {
 	wg.Wait()
 	c.PauseSpouts()
 	if !c.Drain(10 * time.Second) {
-		t.Fatal("did not drain after ring-plane scale churn")
+		t.Fatal("did not drain after scale churn")
 	}
 	snap := c.Snapshot()
 	spoutConservation(t, snap)
@@ -269,8 +196,7 @@ func TestRingPlaneScaleChurnConserves(t *testing.T) {
 }
 
 // TestRingPlaneTypedLanesEndToEnd drives lane-emitted tuples (no Values
-// slice) through a fields grouping into a counting sink on the ring
-// plane, checking payloads survive the SoA batches and hash like their
+// slice) through a fields grouping into a counting sink, checking payloads survive the SoA batches and hash like their
 // boxed equivalents would.
 func TestRingPlaneTypedLanesEndToEnd(t *testing.T) {
 	const n = 300
@@ -292,7 +218,7 @@ func TestRingPlaneTypedLanesEndToEnd(t *testing.T) {
 		}}
 	}, 3).FieldsGrouping("src", "n")
 	topo, _ := b.Build()
-	c := testCluster(ringCfg(8, "hybrid"))
+	c := testCluster()
 	if err := c.Submit(topo, SubmitConfig{}); err != nil {
 		t.Fatal(err)
 	}

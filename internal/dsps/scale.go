@@ -382,48 +382,33 @@ func (rt *runningTopology) awaitDone(v *task, deadline time.Time) bool {
 //dsps:ringconsumer
 func (rt *runningTopology) retireTask(v *task) int {
 	lost := 0
-	if rt.ringMode {
-		// The executor goroutine has exited (awaitDone) and dead was set
-		// under the splice write lock, so no producer can push again:
-		// ownership of both ring sides has transferred to this goroutine.
-		if p := v.inRings.Load(); p != nil {
-			for _, r := range *p {
-				r.Close()
-				for {
-					b, ok := r.Pop()
-					if !ok {
-						break
-					}
-					lost += b.size()
-					rt.fl.putEnvs(b)
-				}
-			}
-		}
-		// Close this task's producer-side rings so downstream consumers
-		// and acker shard owners prune them once drained.
-		for _, r := range v.outRings {
-			r.Close()
-		}
-		v.outRings = nil
-		// Staged-but-unpushed ack ops are dropped (their roots fail via the
-		// ack-timeout sweep, like force-drained tuples), then the rings
-		// close so the shard owners prune them once drained.
-		rt.dropAckStage(v)
-		for _, r := range v.ackRings {
-			if r != nil {
-				r.Close()
-			}
-		}
-	} else {
+	// The executor goroutine has exited (awaitDone) and dead was set
+	// under the splice write lock, so no producer can push again:
+	// ownership of both ring sides has transferred to this goroutine.
+	for _, r := range *v.inRings.Load() {
+		r.Close()
 		for {
-			select {
-			case b := <-v.inCh:
-				lost += b.size()
-				rt.fl.putEnvs(b)
-				continue
-			default:
+			b, ok := r.Pop()
+			if !ok {
+				break
 			}
-			break
+			lost += b.size()
+			rt.fl.putEnvs(b)
+		}
+	}
+	// Close this task's producer-side rings so downstream consumers and
+	// acker shard owners prune them once drained.
+	for _, r := range v.outRings {
+		r.Close()
+	}
+	v.outRings = nil
+	// Staged-but-unpushed ack ops are dropped (their roots fail via the
+	// ack-timeout sweep, like force-drained tuples), then the rings close
+	// so the shard owners prune them once drained.
+	rt.dropAckStage(v)
+	for _, r := range v.ackRings {
+		if r != nil {
+			r.Close()
 		}
 	}
 	if lost > 0 {

@@ -18,13 +18,6 @@ type EngineKnobs struct {
 	BatchSize int
 	// FlushInterval is the spout partial-batch flush deadline.
 	FlushInterval time.Duration
-	// RingSize > 0 switches the engine to the SPSC ring data plane (data
-	// plane v2) with rings of at least this many batch slots; 0 keeps the
-	// channel plane.
-	RingSize int
-	// WaitStrategy picks how ring-plane consumers wait for input: "hybrid"
-	// (default), "spin" or "park".
-	WaitStrategy string
 }
 
 // apply copies the knobs onto a cluster config; zero fields are left for
@@ -33,6 +26,4 @@ func (k EngineKnobs) apply(cfg *dsps.ClusterConfig) {
 	cfg.AckerShards = k.AckerShards
 	cfg.BatchSize = k.BatchSize
 	cfg.FlushInterval = k.FlushInterval
-	cfg.RingSize = k.RingSize
-	cfg.WaitStrategy = k.WaitStrategy
 }
